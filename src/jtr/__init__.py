@@ -11,15 +11,11 @@ __version__ = "0.1.0"
 from .layout import JointLayout, TRACK_DIM, REG_DIM
 from .info_array import (
     SquareRootInfo,
-    GivensRotation,
     XAssembly,
     YAssembly,
-    make_givens,
     triangularize_x,
     triangularize_y,
     back_substitute,
-    marginalize_leading,
-    affine_push,
     dense_qr,
 )
 from .models import (
@@ -42,7 +38,6 @@ from .joint_filter import (
     time_propagate,
     reshape_state,
     solve_estimates,
-    fisher_information,
     save_state,
     load_state,
 )
@@ -50,14 +45,13 @@ from .baselines import DenseState, SepFilter, dense_initialize
 
 __all__ = [
     "JointLayout", "TRACK_DIM", "REG_DIM",
-    "SquareRootInfo", "GivensRotation", "XAssembly", "YAssembly",
-    "make_givens", "triangularize_x", "triangularize_y", "back_substitute",
-    "marginalize_leading", "affine_push", "dense_qr",
+    "SquareRootInfo", "XAssembly", "YAssembly",
+    "triangularize_x", "triangularize_y", "back_substitute", "dense_qr",
     "TrackState", "Registration", "Measurement", "CVModel",
     "predict_measurement", "jacobians", "wrap_angle",
     "FmapConfig", "SensorPrior", "FilterState", "initialize",
     "measurement_update", "check_and_reset_registration", "reset_registration",
-    "time_propagate", "reshape_state", "solve_estimates", "fisher_information",
+    "time_propagate", "reshape_state", "solve_estimates",
     "save_state", "load_state",
     "DenseState", "SepFilter", "dense_initialize",
 ]

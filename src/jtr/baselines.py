@@ -30,7 +30,10 @@ from .models import (CVModel, cv_transition, jacobians, measurement_vector,
 
 @dataclass(frozen=True)
 class DenseState:
-    """Mean and lower-triangular covariance square root of the joint state."""
+    """Mean and lower-triangular covariance square root of the joint state.
+
+    The fields after ``epoch`` mirror FilterState's, for the shared monitor.
+    """
 
     mu: np.ndarray
     s: np.ndarray
@@ -39,6 +42,7 @@ class DenseState:
     config: FmapConfig
     pinned: frozenset = frozenset()
     reset_means: tuple = ()
+    innovation_history: tuple = ()
 
     @property
     def cov(self) -> np.ndarray:
@@ -168,10 +172,7 @@ def dense_reshape(state: DenseState, new_tracks=(), deleted_ids=()) -> DenseStat
     if not deleted and not new_tracks:
         return state
     keep_lay = lay.with_tracks_removed(deleted)
-    runs = [np.arange(lay.track_slice(t).start, lay.track_slice(t).stop)
-            for t in keep_lay.track_ids]
-    runs.append(np.arange(lay.reg_slice().start, lay.reg_slice().stop))
-    keep = np.concatenate(runs)
+    keep = lay.kept_columns(keep_lay)
     cov_kept = state.cov[np.ix_(keep, keep)]
     mu_kept = state.mu[keep]
 

@@ -24,10 +24,10 @@ import numpy as np
 
 from .info_array import (DegenerateRotationError, SingularBlockError,
                          format_info_dump)
-from .simkit import (ConfigError, benchmark, fit_loglog, generate_scenario,
-                     load_config, metrics, read_replay, run_replay,
-                     run_tracker, write_registration_csv, write_timing_csv,
-                     write_tracks_csv)
+from .simkit import (BENCHMARK_BLAS_THREADS, ConfigError, benchmark,
+                     fit_loglog, generate_scenario, load_config, metrics,
+                     read_replay, run_replay, run_tracker,
+                     write_registration_csv, write_timing_csv, write_tracks_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,13 +72,15 @@ def _resolve_seed(config_seed: int, flag_seed) -> int:
     return int(config_seed)
 
 
-def _write_manifest(out_dir, command, config_path, seed, t0) -> None:
+def _write_manifest(out_dir, command, config_path, seed, t0, **extra) -> None:
+    """Write the manifest; ``extra`` adds command-specific fields."""
     man = RunManifest(command=command, config_path=str(config_path),
                       seed=int(seed), build=_git_describe(),
                       out_dir=str(out_dir),
                       wall_time_s=time.perf_counter() - t0)
     with open(Path(out_dir) / "manifest.json", "w") as fh:
-        json.dump(dataclasses.asdict(man), fh, indent=2, sort_keys=True)
+        json.dump({**dataclasses.asdict(man), **extra}, fh, indent=2,
+                  sort_keys=True)
         fh.write("\n")
 
 
@@ -188,7 +190,8 @@ def cmd_benchmark(args) -> int:
                 print(f"{algo}: {cells}")
                 print(f"slope {algo} {slopes[algo]:.6f}")
     finally:
-        _write_manifest(out, "benchmark", "", seed, t0)
+        _write_manifest(out, "benchmark", "", seed, t0,
+                        blas_threads=BENCHMARK_BLAS_THREADS)
     return EXIT_OK
 
 

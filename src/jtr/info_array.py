@@ -43,39 +43,19 @@ class AssemblyError(ValueError):
     """Malformed stacked assembly (shape, finiteness or sparsity pattern)."""
 
 
-@dataclass(frozen=True)
-class GivensRotation:
-    """Plane rotation parameters with c**2 + s**2 == 1.
-
-    Applying the rotation to a column pair (top, bot) computes
-    (c*top + s*bot, c*bot - s*top); for the defining pair (alpha, beta)
-    the result is (hypot(alpha, beta), 0).
-    """
-
-    c: float
-    s: float
-
-    def apply(self, top, bot):
-        return self.c * top + self.s * bot, self.c * bot - self.s * top
-
-
 def _givens_cs(alpha: float, beta: float):
-    """(c, s) of the rotation zeroing ``beta`` against pivot ``alpha``."""
+    """(c, s) of the rotation zeroing ``beta`` against pivot ``alpha``.
+
+    c**2 + s**2 == 1.  Applied to a column pair (top, bot) the rotation
+    computes (c*top + s*bot, c*bot - s*top), which maps (alpha, beta) to
+    (hypot(alpha, beta), 0).  hypot keeps wildly scaled inputs
+    (1e-150 .. 1e150) from overflowing or underflowing.  Raises
+    DegenerateRotationError when both inputs are exactly zero.
+    """
     if alpha == 0.0 and beta == 0.0:
         raise DegenerateRotationError("cannot build a rotation from (0, 0)")
     r = math.hypot(alpha, beta)
     return alpha / r, beta / r
-
-
-def make_givens(alpha: float, beta: float) -> GivensRotation:
-    """Build the rotation that zeroes ``beta`` against pivot ``alpha``.
-
-    Uses hypot so that wildly scaled inputs (1e-150 .. 1e150) neither
-    overflow nor underflow.  Raises DegenerateRotationError when both
-    inputs are exactly zero.
-    """
-    c, s = _givens_cs(alpha, beta)
-    return GivensRotation(c, s)
 
 
 @dataclass
@@ -88,12 +68,11 @@ class RotationStats:
 
 @dataclass
 class SquareRootInfo:
-    """Information array [R, z]; R is expected upper triangular.
+    """Information array [R, z] with R upper triangular.
 
-    ``affine_push`` may return a non-triangular R (the algebra does not
-    require triangularity); every other producer in this module returns a
-    triangular factor.  ``layout`` ties columns to track/sensor blocks and
-    may be None for unstructured arrays.
+    Every producer in this package returns a triangular factor; ``mean``
+    rejects one that is not.  ``layout`` ties columns to track/sensor blocks
+    and may be None for unstructured arrays.
     """
 
     r: np.ndarray
@@ -121,11 +100,15 @@ class SquareRootInfo:
         return bool(np.all(self.r[np.tril_indices(self.dim, k=-1)] == 0.0))
 
     def mean(self) -> np.ndarray:
-        """Implied mean R^{-1} z (general solve if R is not triangular)."""
-        if self.is_upper_triangular():
-            _check_diag(self.r, self.layout)
-            return solve_triangular(self.r, self.z)
-        return np.linalg.solve(self.r, self.z)
+        """Implied mean R^{-1} z by back substitution.
+
+        Raises AssemblyError when R is not upper triangular, and
+        SingularBlockError naming the block of a zero diagonal entry.
+        """
+        if not self.is_upper_triangular():
+            raise AssemblyError("R is not upper triangular")
+        _check_diag(self.r, self.layout)
+        return solve_triangular(self.r, self.z)
 
     def covariance(self) -> np.ndarray:
         """Implied covariance R^{-1} R^{-T} (dense; intended for tests)."""
@@ -459,7 +442,7 @@ def triangularize_y(assembly: YAssembly, stats: RotationStats | None = None,
 
 
 # ======================================================================
-# solves, marginals, pushes
+# solves and dense factorization
 # ======================================================================
 
 @dataclass
@@ -519,38 +502,6 @@ def back_substitute(info: SquareRootInfo, with_covariance: bool = True) -> BackS
                 pb = pb + coup @ pa @ coup.T
             track_covs.append(pb)
     return BackSubstitution(est, track_covs, pa)
-
-
-def marginalize_leading(info: SquareRootInfo, lead_dims: int) -> SquareRootInfo:
-    """Marginal over the trailing variables: drop the leading block.
-
-    For an upper-triangular information array the marginal of the trailing
-    variables is exactly the trailing sub-array [R22, z2].
-    """
-    if not 0 <= lead_dims < info.dim:
-        raise ValueError(f"lead_dims {lead_dims} out of range for dim {info.dim}")
-    if not info.is_upper_triangular():
-        raise ValueError("marginalize_leading requires an upper-triangular R")
-    return SquareRootInfo(info.r[lead_dims:, lead_dims:].copy(),
-                          info.z[lead_dims:].copy(), None)
-
-
-def affine_push(info: SquareRootInfo, alpha: np.ndarray, beta: np.ndarray) -> SquareRootInfo:
-    """Information array of omega = alpha @ rho + beta given [R, z] for rho.
-
-    Returns [R @ alpha^{-1}, z + (R @ alpha^{-1}) @ beta]; the result is
-    upper triangular only when alpha is (e.g. diagonal scalings), so compose
-    with ``dense_qr`` when triangularity matters downstream.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float).ravel()
-    if alpha.shape != (info.dim, info.dim) or beta.shape != (info.dim,):
-        raise ValueError("alpha/beta dimensions do not match the state")
-    try:
-        r_new = np.linalg.solve(alpha.T, info.r.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError("alpha", f"alpha is singular: {exc}") from exc
-    return SquareRootInfo(r_new, info.z + r_new @ beta, info.layout)
 
 
 def dense_qr(stacked: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cholesky
+from scipy.stats import chi2
 
 from .info_array import (
     BackSubstitution,
@@ -39,11 +40,6 @@ from .info_array import (
 from .layout import JointLayout, REG_DIM
 from .models import (CVModel, cv_transition, jacobians, measurement_vector,
                      process_noise_info, wrap_angle)
-
-try:
-    from scipy.stats import chi2
-except ImportError:  # pragma: no cover
-    chi2 = None
 
 
 @dataclass(frozen=True)
@@ -161,13 +157,6 @@ def solve_estimates(state: FilterState, with_covariance: bool = True) -> BackSub
     return back_substitute(state.info, with_covariance=with_covariance)
 
 
-def fisher_information(state: FilterState) -> np.ndarray:
-    """Information matrix R^T R of the current belief (symmetric PSD)."""
-    r = state.info.r
-    j = r.T @ r
-    return 0.5 * (j + j.T)
-
-
 def registration_estimate(state: FilterState, sensor: int):
     """(mean, covariance) of one sensor's registration block."""
     sol = solve_estimates(state)
@@ -232,44 +221,65 @@ def measurement_update(state: FilterState, assoc):
         return state, 0.0, 0
     sol = solve_estimates(state, with_covariance=False)
     cx, ca, rhs, m = build_measurement_rows(state.layout, assoc, sol.estimate)
-    asm = XAssembly(state.info.copy(), cx, ca, rhs)
-    posterior, e = triangularize_x(asm)
-    rss = float(np.dot(e, e))
-    return replace(state, info=posterior), rss, m
+    state, rss = apply_measurement_rows(state, cx, ca, rhs)
+    return state, rss, m
+
+
+def apply_measurement_rows(state: FilterState, cx, ca, rhs):
+    """Fuse whitened rows from ``build_measurement_rows``; returns (state', rss).
+
+    The row arrays are consumed: the triangularization works in them in place.
+    """
+    posterior, e = triangularize_x(XAssembly(state.info.copy(), cx, ca, rhs))
+    return replace(state, info=posterior), float(np.dot(e, e))
 
 
 def chi2_per_dof_quantile(level: float, dof: int) -> float:
     return float(chi2.ppf(level, dof)) / dof
 
 
-def check_and_reset_registration(state: FilterState, residual_norm_sq: float, m_dims: int):
+def windowed_innovation(history: tuple, residual_norm_sq: float, m_dims: int,
+                        window: int):
+    """Push one epoch's (residual_norm_sq, m_dims), skipping m_dims <= 0.
+
+    Returns (history', stat, dof): the last ``window`` entries, their summed
+    residual per summed degree of freedom, and that dof; nan and 0 until the
+    window is full.
+    """
+    if m_dims > 0:
+        history = (history + ((float(residual_norm_sq), int(m_dims)),))[-window:]
+    if len(history) < window:
+        return history, float("nan"), 0
+    dof = sum(h[1] for h in history)
+    return history, sum(h[0] for h in history) / dof, dof
+
+
+def monitor_innovation(state, residual_norm_sq: float, m_dims: int, reset):
     """Window the normalized innovation and reset registration on exceedance.
 
-    Appends residual_norm_sq / m_dims to the ring buffer (epochs with no
-    measurements are skipped).  Once the window is full and its mean residual
-    exceeds the chi-square quantile per degree of freedom of the stacked
-    window, every non-pinned sensor's registration is returned to the
-    noninformative prior and the window is cleared.
-
-    Returns (state', reset_fired).
+    ``state`` is a FilterState or a DenseState.  Once the window is full and
+    its residual per degree of freedom exceeds the chi-square quantile of the
+    stacked window, ``reset(state, sensors)`` returns every non-pinned sensor
+    to the noninformative prior and the window is cleared.  Returns
+    (state', reset_fired).
     """
     if m_dims <= 0:
         return state, False
-    window = state.config.innovation_window
-    history = (state.innovation_history + ((float(residual_norm_sq), int(m_dims)),))[-window:]
+    cfg = state.config
+    history, stat, dof = windowed_innovation(
+        state.innovation_history, residual_norm_sq, m_dims, cfg.innovation_window)
     state = replace(state, innovation_history=history)
-    if len(history) < window:
-        return state, False
-    total_rss = sum(h[0] for h in history)
-    total_dof = sum(h[1] for h in history)
-    threshold = chi2_per_dof_quantile(state.config.innovation_threshold, total_dof)
-    if total_rss / total_dof <= threshold:
+    if not dof or stat <= chi2_per_dof_quantile(cfg.innovation_threshold, dof):
         return state, False
     resettable = [s for s in range(state.layout.k) if s not in state.pinned]
     if not resettable:
         return state, False
-    state = reset_registration(state, resettable)
-    return replace(state, innovation_history=()), True
+    return replace(reset(state, resettable), innovation_history=()), True
+
+
+def check_and_reset_registration(state: FilterState, residual_norm_sq: float, m_dims: int):
+    """The innovation monitor on the structured filter; returns (state', reset_fired)."""
+    return monitor_innovation(state, residual_norm_sq, m_dims, reset_registration)
 
 
 def reset_registration(state: FilterState, sensors) -> FilterState:
@@ -365,10 +375,7 @@ def reshape_state(state: FilterState, new_tracks=(), deleted_ids=()) -> FilterSt
     eps = state.config.epsilon
 
     keep_lay = lay.with_tracks_removed(deleted)
-    col_runs = [np.arange(lay.track_slice(tid).start, lay.track_slice(tid).stop)
-                for tid in keep_lay.track_ids]
-    col_runs.append(np.arange(lay.reg_slice().start, lay.reg_slice().stop))
-    keep_cols = np.concatenate(col_runs)
+    keep_cols = lay.kept_columns(keep_lay)
     r_kept = info.r[np.ix_(keep_cols, keep_cols)]
     z_kept = info.z[keep_cols]
 
@@ -422,6 +429,8 @@ def save_state(state: FilterState) -> str:
 
 
 def load_state(text: str) -> FilterState:
+    """Parse a ``save_state`` snapshot; raises ValueError for malformed text,
+    including an R with nonzero entries below the diagonal."""
     lines = text.strip().splitlines()
     if not lines or lines[0].strip() != _STATE_MAGIC:
         raise ValueError("unrecognized filter snapshot header")
@@ -461,6 +470,10 @@ def load_state(text: str) -> FilterState:
         raise ValueError("snapshot missing z section")
     z = np.array([float(v) for v in lines[z_at + 1].split()]) if lay.dim else np.zeros(0)
     r = np.array(rows).reshape(lay.dim, lay.dim)
+    below = np.flatnonzero(np.tril(r, -1).any(axis=1))
+    if below.size:
+        raise ValueError(f"snapshot R is not upper triangular: row {int(below[0])} "
+                         "has a nonzero entry below the diagonal")
     info = SquareRootInfo(r, z, lay)
     return FilterState(info=info, epoch=epoch, config=config,
                        innovation_history=history, pinned=pinned,

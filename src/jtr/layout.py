@@ -88,6 +88,15 @@ class JointLayout:
         kept = tuple(t for t in self.track_ids if t not in ids)
         return JointLayout(kept, self.k, self.nx, self.na)
 
+    def kept_columns(self, kept: "JointLayout") -> list:
+        """This layout's columns, in order, that carry the blocks of ``kept``
+        (this layout with some tracks removed)."""
+        cols = []
+        for t in kept.track_ids:
+            sl = self.track_slice(t)
+            cols.extend(range(sl.start, sl.stop))
+        return cols + list(range(self.track_dim, self.dim))
+
     def with_tracks_prepended(self, ids) -> "JointLayout":
         ids = tuple(ids)
         clash = set(ids) & set(self.track_ids)

@@ -206,11 +206,6 @@ def whiten_rows(rows: np.ndarray, rhs: np.ndarray, sigmas: np.ndarray):
     return rows * inv[:, None], rhs * inv
 
 
-def unwhiten_rows(rows: np.ndarray, rhs: np.ndarray, sigmas: np.ndarray):
-    sigmas = np.asarray(sigmas, dtype=float).ravel()
-    return np.asarray(rows) * sigmas[:, None], np.asarray(rhs).ravel() * sigmas
-
-
 def cv_transition(model: CVModel):
     """(Phi, G, u2, Phi_inverse) for one constant-velocity step."""
     dt = model.dt

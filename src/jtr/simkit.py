@@ -21,12 +21,14 @@ from .baselines import (SepFilter, dense_apply_rows, dense_estimates,
                         dense_initialize, dense_measurement_update,
                         dense_reset_registration, dense_reshape,
                         dense_time_propagate)
+from .blas import blas_threads
 from .joint_filter import (FilterState, FmapConfig, SensorPrior,
-                           build_measurement_rows, check_and_reset_registration,
-                           chi2_per_dof_quantile, initialize,
-                           measurement_update, registration_estimate,
-                           reshape_state, solve_estimates,
-                           time_propagate, track_estimate)
+                           apply_measurement_rows, build_measurement_rows,
+                           check_and_reset_registration, initialize,
+                           measurement_update, monitor_innovation,
+                           registration_estimate, reshape_state,
+                           solve_estimates, time_propagate, track_estimate,
+                           windowed_innovation)
 from .models import (CVModel, Measurement, backproject, cv_transition,
                      measurement_vector,
                      process_noise_covariance, wrap_angle)
@@ -472,9 +474,6 @@ class DenseRunner:
     def __init__(self, cfg: ScenarioConfig):
         self.state = dense_initialize(cfg.k, cfg.filter_config, cfg.sensor_priors())
         self.model = cfg.model()
-        self.config = cfg.filter_config
-        self.pinned = frozenset(s.sensor_id for s in cfg.sensors if s.pinned)
-        self.history = ()
 
     def add_tracks(self, pairs):
         if pairs:
@@ -489,23 +488,9 @@ class DenseRunner:
         return rss, m
 
     def maybe_reset(self, rss, m):
-        if m <= 0:
-            return False
-        window = self.config.innovation_window
-        self.history = (self.history + ((float(rss), int(m)),))[-window:]
-        if len(self.history) < window:
-            return False
-        total_rss = sum(h[0] for h in self.history)
-        total_dof = sum(h[1] for h in self.history)
-        if total_rss / total_dof <= chi2_per_dof_quantile(
-                self.config.innovation_threshold, total_dof):
-            return False
-        sensors = [s for s in range(self.state.layout.k) if s not in self.pinned]
-        if not sensors:
-            return False
-        self.state = dense_reset_registration(self.state, sensors)
-        self.history = ()
-        return True
+        self.state, fired = monitor_innovation(self.state, rss, m,
+                                               dense_reset_registration)
+        return fired
 
     def propagate(self):
         self.state = dense_time_propagate(self.state, self.model)
@@ -595,22 +580,6 @@ class RunResult:
         return out
 
 
-class _StatWindow:
-    """Reporting-only copy of the innovation window (never cleared by resets)."""
-
-    def __init__(self, window: int):
-        self.window = window
-        self.items = []
-
-    def push(self, rss: float, m: int) -> float:
-        if m > 0:
-            self.items.append((rss, m))
-            self.items = self.items[-self.window:]
-        if len(self.items) < self.window:
-            return float("nan")
-        return sum(i[0] for i in self.items) / sum(i[1] for i in self.items)
-
-
 def _guess_from_detection(det: Detection, reg_est: np.ndarray) -> np.ndarray:
     pos = backproject(det.meas.r, det.meas.theta, reg_est)
     return np.array([pos[0], 0.0, pos[1], 0.0])
@@ -633,13 +602,19 @@ def run_tracker(scenario: Scenario, algo: str, detections=None) -> RunResult:
     target that later re-enters the field of view is born again under its
     truth id.
     """
-    cfg = scenario.config
     if algo not in RUNNERS:
         raise ConfigError(f"unknown algorithm {algo!r}")
-    runner = RUNNERS[algo](cfg)
+    runner = RUNNERS[algo](scenario.config)
     if detections is None:
         detections = synthesize_measurements(scenario)
-    stat = _StatWindow(cfg.filter_config.innovation_window)
+    return _run_epochs(scenario, runner, detections)
+
+
+def _run_epochs(scenario: Scenario, runner, detections) -> RunResult:
+    """run_tracker's epoch loop over any runner with FmapRunner's interface."""
+    cfg = scenario.config
+    window = cfg.filter_config.innovation_window
+    stat_history = ()             # reporting window, never cleared by resets
     records = []
     misses = {}
     pending = []                  # [(sensor_id, xy)] unassociated one epoch ago
@@ -750,10 +725,11 @@ def run_tracker(scenario: Scenario, algo: str, detections=None) -> RunResult:
         reg_rows = tuple((s.sensor_id, runner.registration(s.sensor_id),
                           scenario.reg_truth[e, s.sensor_id].copy())
                          for s in cfg.sensors)
+        stat_history, stat, _ = windowed_innovation(stat_history, rss, m, window)
         records.append(EpochRecord(
             t=float(scenario.times[e]), track_rows=tuple(track_rows),
             reg_rows=reg_rows, rss=float(rss), m=int(m),
-            innovation_stat=stat.push(rss, m), fired=bool(fired),
+            innovation_stat=stat, fired=bool(fired),
             n_tracks=len(track_rows)))
         if isinstance(runner, FmapRunner):
             final_info = runner.state.info
@@ -770,11 +746,84 @@ def run_tracker(scenario: Scenario, algo: str, detections=None) -> RunResult:
 
         runner.propagate()
 
-    return RunResult(algo=algo, records=tuple(records), final_info=final_info)
+    return RunResult(algo=runner.algo, records=tuple(records),
+                     final_info=final_info)
 
 
 # ---------------------------------------------------------------------------
 # Lockstep twin run (fmap and dense fed bit-identical rows)
+
+
+class LockstepRunner(FmapRunner):
+    """fmap driven together with its dense moment-space twin.
+
+    Jacobian rows are built once per update at fmap's prior mean and fed to
+    both filters, and resets follow fmap's decision, so the two posteriors
+    may differ only through arithmetic.  After each reset check the runner
+    records the worst relative gap across solved means, per-track
+    covariances and the registration covariance; after each reset check and
+    each propagation it counts a violation when fmap's track block carries
+    any nonzero entry off its diagonal blocks.
+    """
+
+    def __init__(self, cfg: ScenarioConfig):
+        super().__init__(cfg)
+        self.twin = DenseRunner(cfg)
+        self.worst_gap = 0.0
+        self.violations = 0
+
+    def add_tracks(self, pairs):
+        super().add_tracks(pairs)
+        self.twin.add_tracks(pairs)
+
+    def remove_tracks(self, ids):
+        super().remove_tracks(ids)
+        self.twin.remove_tracks(ids)
+
+    def update(self, assoc):
+        if not assoc:
+            return 0.0, 0
+        sol = solve_estimates(self.state, with_covariance=False)
+        cx, ca, rhs, m = build_measurement_rows(self.state.layout, assoc,
+                                                sol.estimate)
+        self.twin.state, _ = dense_apply_rows(self.twin.state, cx, ca, rhs)
+        self.state, rss = apply_measurement_rows(self.state, cx, ca, rhs)
+        return rss, m
+
+    def maybe_reset(self, rss, m):
+        fired = super().maybe_reset(rss, m)
+        if fired:
+            self.twin.state = dense_reset_registration(
+                self.twin.state,
+                [s for s in range(self.state.layout.k) if s not in self.state.pinned])
+        self._check_off_block()
+        sol = solve_estimates(self.state)
+        mu, tcovs, rcov = dense_estimates(self.twin.state)
+        gaps = [_relative_gap(sol.estimate, mu),
+                _relative_gap(sol.registration_covariance, rcov)]
+        gaps += [_relative_gap(p, q) for p, q in zip(sol.track_covariances, tcovs)]
+        self.worst_gap = max([self.worst_gap] + gaps)
+        return fired
+
+    def propagate(self):
+        super().propagate()
+        self.twin.propagate()
+        self._check_off_block()
+
+    def _check_off_block(self):
+        lay = self.state.layout
+        td = lay.track_dim
+        mask = np.zeros((td, td), dtype=bool)
+        for b in range(lay.n_tracks):
+            blk = lay.track_block(b)
+            mask[blk, blk] = True
+        if np.any(self.state.info.r[:td, :td][~mask] != 0.0):
+            self.violations += 1
+
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    denom = max(float(np.linalg.norm(b)), 1.0)
+    return float(np.linalg.norm(a - b)) / denom
 
 
 @dataclass(frozen=True)
@@ -784,101 +833,19 @@ class LockstepResult:
     epochs: int
 
 
-def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
-    denom = max(float(np.linalg.norm(b)), 1.0)
-    return float(np.linalg.norm(a - b)) / denom
-
-
-def _off_block_nonzeros(state: FilterState) -> bool:
-    """True when the track block carries any nonzero entry off its diagonal blocks."""
-    lay = state.layout
-    td = lay.track_dim
-    mask = np.zeros((td, td), dtype=bool)
-    for b in range(lay.n_tracks):
-        blk = lay.track_block(b)
-        mask[blk, blk] = True
-    return bool(np.any(state.info.r[:td, :td][~mask] != 0.0))
-
-
 def run_lockstep(scenario: Scenario) -> LockstepResult:
-    """Drive fmap and its dense moment-space twin on shared measurement rows.
+    """Run fmap and its dense twin through run_tracker's loop in truth mode.
 
-    Jacobian rows are built once per epoch at fmap's prior mean and fed to
-    both filters, resets follow fmap's decision, and births follow the truth
-    timeline, so the two posteriors may differ only through arithmetic. The
-    result carries the worst relative gap across solved means, per-track
-    covariances, and the registration covariance, plus a count of epochs
-    whose track block had any nonzero off-block entry.
+    Births and deaths follow the truth timeline (see LockstepRunner for what
+    is compared).  The result carries the worst relative gap and the number
+    of checks that found a nonzero off-block entry in the track block.
     """
-    from .info_array import XAssembly, triangularize_x
-
-    cfg = scenario.config
-    fr = FmapRunner(cfg)
-    dr = DenseRunner(cfg)
-    detections = synthesize_measurements(scenario)
-    born = set()
-    worst = 0.0
-    violations = 0
-
-    for e in range(scenario.n_epochs):
-        dets = detections[e]
-        live = set(fr.track_ids())
-        assoc = [(d.truth_id, d.meas) for d in dets if d.truth_id in live]
-        births = []
-        for d in dets:
-            tid = d.truth_id
-            if tid in live or tid in born:
-                continue
-            reg = fr.registration(d.sensor_id)
-            births.append((tid, _guess_from_detection(d, reg)))
-            born.add(tid)
-            live.add(tid)
-            assoc.append((tid, d.meas))
-        fr.add_tracks(births)
-        dr.add_tracks(births)
-
-        state = fr.state
-        sol_prior = solve_estimates(state, with_covariance=False)
-        cx, ca, rhs, m = build_measurement_rows(state.layout, assoc,
-                                                sol_prior.estimate)
-        if m > 0:
-            post, e_vec = triangularize_x(
-                XAssembly(state.info.copy(), cx.copy(), ca.copy(), rhs.copy()))
-            fr.state = dataclasses.replace(state, info=post)
-            rss = float(e_vec @ e_vec)
-            dr.state, _ = dense_apply_rows(dr.state, cx, ca, rhs)
-        else:
-            rss = 0.0
-        fired = fr.maybe_reset(rss, m)
-        if fired:
-            sensors = [s for s in range(cfg.k)
-                       if s not in frozenset(x.sensor_id for x in cfg.sensors
-                                             if x.pinned)]
-            dr.state = dense_reset_registration(dr.state, sensors)
-
-        if _off_block_nonzeros(fr.state):
-            violations += 1
-
-        lay = fr.state.layout
-        sol = solve_estimates(fr.state)
-        mu, tcovs, rcov = dense_estimates(dr.state)
-        worst = max(worst, _relative_gap(sol.estimate, mu))
-        for b in range(lay.n_tracks):
-            worst = max(worst, _relative_gap(sol.track_covariances[b], tcovs[b]))
-        worst = max(worst, _relative_gap(sol.registration_covariance, rcov))
-
-        dead = [tid for tid in fr.track_ids()
-                if tid in scenario.truth and not scenario.truth[tid].alive(e + 1)]
-        fr.remove_tracks(dead)
-        dr.remove_tracks(dead)
-        fr.propagate()
-        dr.propagate()
-
-        if _off_block_nonzeros(fr.state):
-            violations += 1
-
-    return LockstepResult(worst_relative_gap=worst,
-                          off_block_violations=violations,
+    cfg = dataclasses.replace(scenario.config, association="truth")
+    scenario = dataclasses.replace(scenario, config=cfg)
+    runner = LockstepRunner(cfg)
+    _run_epochs(scenario, runner, synthesize_measurements(scenario))
+    return LockstepResult(worst_relative_gap=runner.worst_gap,
+                          off_block_violations=runner.violations,
                           epochs=scenario.n_epochs)
 
 
@@ -1031,42 +998,48 @@ def _benchmark_config(n: int, seed: int, steps: int) -> ScenarioConfig:
         placement=(8.0, 80.0, math.radians(60.0), 1.0))
 
 
+BENCHMARK_BLAS_THREADS = 1
+
+
 def benchmark(n_list, trials: int = 5, algos=("fmap", "sep", "dense"),
               seed: int = 7, progress=None):
     """Median wall-clock seconds per filter step at each problem size.
 
     Each (algo, n) pair times `trials` consecutive steps after one untimed
     warmup step; a step is one measurement update plus one propagation over
-    all n targets seen by both sensors. Returns (rows, medians, slopes) with
-    rows = [(algo, n, trial, seconds)], medians[algo] = {n: median}, and
+    all n targets seen by both sensors. Every cell runs with one BLAS thread
+    (BENCHMARK_BLAS_THREADS), so sizes are compared at equal parallelism and
+    the slopes measure the algorithms, not the thread pool. Returns
+    (rows, medians, slopes) with rows = [(algo, n, trial, seconds)], medians[algo] = {n: median}, and
     slopes[algo] the least-squares log-log slope over n_list.
     """
     if list(n_list) != sorted(n_list):
         raise ConfigError("benchmark sizes must be sorted ascending")
     rows = []
     medians = {a: {} for a in algos}
-    for n in n_list:
-        cfg = _benchmark_config(n, seed, trials)
-        scenario = generate_scenario(cfg)
-        detections = synthesize_measurements(scenario)
-        for algo in algos:
-            runner = RUNNERS[algo](cfg)
-            runner.add_tracks(
-                [(tid, np.array([trk.states[0, 0], 0.0, trk.states[0, 2], 0.0]))
-                 for tid, trk in sorted(scenario.truth.items())])
-            samples = []
-            for step in range(trials + 1):
-                assoc = [(d.truth_id, d.meas) for d in detections[step]]
-                t0 = time.perf_counter()
-                runner.update(assoc)
-                runner.propagate()
-                elapsed = time.perf_counter() - t0
-                if step > 0:
-                    samples.append(elapsed)
-                    rows.append((algo, n, step, elapsed))
-            medians[algo][n] = float(np.median(samples))
-            if progress is not None:
-                progress(algo, n, medians[algo][n])
+    with blas_threads(BENCHMARK_BLAS_THREADS):
+        for n in n_list:
+            cfg = _benchmark_config(n, seed, trials)
+            scenario = generate_scenario(cfg)
+            detections = synthesize_measurements(scenario)
+            for algo in algos:
+                runner = RUNNERS[algo](cfg)
+                runner.add_tracks(
+                    [(tid, np.array([trk.states[0, 0], 0.0, trk.states[0, 2], 0.0]))
+                     for tid, trk in sorted(scenario.truth.items())])
+                samples = []
+                for step in range(trials + 1):
+                    assoc = [(d.truth_id, d.meas) for d in detections[step]]
+                    t0 = time.perf_counter()
+                    runner.update(assoc)
+                    runner.propagate()
+                    elapsed = time.perf_counter() - t0
+                    if step > 0:
+                        samples.append(elapsed)
+                        rows.append((algo, n, step, elapsed))
+                medians[algo][n] = float(np.median(samples))
+                if progress is not None:
+                    progress(algo, n, medians[algo][n])
     slopes = {}
     if len(list(n_list)) >= 2:
         slopes = {a: fit_loglog(list(n_list), [medians[a][n] for n in n_list])

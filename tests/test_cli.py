@@ -185,6 +185,8 @@ class TestBenchmarkCommand:
         out = tmp_path / "out"
         rc = main(["benchmark", str(out), "--n", "4,8", "--trials", "2"])
         assert rc == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["blas_threads"] == 1
         rows = read_csv_rows(out / "timing.csv")
         assert len(rows) == 2 * 2 * 3
         printed = dict(re.findall(r"slope (\w+) (-?\d+\.\d+)",

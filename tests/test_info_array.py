@@ -1,4 +1,4 @@
-"""Rotation, QR-wrapper, solve, marginal and push tests for the kernel."""
+"""Rotation, QR-wrapper, solve and marginal tests for the kernel."""
 
 import math
 
@@ -13,48 +13,53 @@ from jtr.info_array import (
     DegenerateRotationError,
     SingularBlockError,
     SquareRootInfo,
-    affine_push,
+    _givens_cs,
     back_substitute,
     dense_qr,
     format_info_dump,
-    make_givens,
-    marginalize_leading,
 )
+from jtr.joint_filter import FilterState, FmapConfig, reshape_state
 from jtr.layout import JointLayout
 
 
+def rotate(c, s, top, bot):
+    """The pair update the triangularizations apply with (c, s)."""
+    return c * top + s * bot, c * bot - s * top
+
+
 class TestMakeGivens:
+    """Construction of the Givens rotation the kernel applies (_givens_cs)."""
+
     def test_three_four_five(self):
-        g = make_givens(3.0, 4.0)
-        assert g.c == 0.6
-        assert g.s == 0.8
-        top, bot = g.apply(3.0, 4.0)
+        c, s = _givens_cs(3.0, 4.0)
+        assert c == 0.6
+        assert s == 0.8
+        top, bot = rotate(c, s, 3.0, 4.0)
         assert top == pytest.approx(5.0, rel=1e-15)
         assert bot == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_beta_gives_identity(self):
-        g = make_givens(7.5, 0.0)
-        assert (g.c, g.s) == (1.0, 0.0)
+        assert _givens_cs(7.5, 0.0) == (1.0, 0.0)
 
     def test_zero_alpha_swaps_rows(self):
-        g = make_givens(0.0, -2.0)
-        assert (g.c, g.s) == (0.0, -1.0)
-        top, bot = g.apply(0.0, -2.0)
+        c, s = _givens_cs(0.0, -2.0)
+        assert (c, s) == (0.0, -1.0)
+        top, bot = rotate(c, s, 0.0, -2.0)
         assert top == 2.0
         assert bot == 0.0
 
     def test_both_zero_raises(self):
         with pytest.raises(DegenerateRotationError):
-            make_givens(0.0, 0.0)
+            _givens_cs(0.0, 0.0)
 
     def test_extreme_magnitude_ratios(self):
         pairs = [(1e-150, 1e150), (1e150, 1e-150), (1e150, 1e150),
                  (1e-150, 1e-150), (-1e150, 1e150), (1e-150, -1e-150)]
         for a, b in pairs:
-            g = make_givens(a, b)
-            assert math.isfinite(g.c) and math.isfinite(g.s)
-            assert abs(g.c * g.c + g.s * g.s - 1.0) < 1e-14
-            top, bot = g.apply(a, b)
+            c, s = _givens_cs(a, b)
+            assert math.isfinite(c) and math.isfinite(s)
+            assert abs(c * c + s * s - 1.0) < 1e-14
+            top, bot = rotate(c, s, a, b)
             assert math.isfinite(top)
             assert top >= 0.0
             assert abs(bot) <= 1e-15 * math.hypot(a, b)
@@ -67,8 +72,8 @@ class TestMakeGivens:
         vals = (signs * 10.0 ** exponents).tolist()
         worst = 0.0
         for a, b in vals:
-            g = make_givens(a, b)
-            err = abs(g.c * g.c + g.s * g.s - 1.0)
+            c, s = _givens_cs(a, b)
+            err = abs(c * c + s * s - 1.0)
             if err > worst:
                 worst = err
         assert worst < 1e-14
@@ -77,9 +82,9 @@ class TestMakeGivens:
            st.floats(min_value=-1e150, max_value=1e150, allow_nan=False))
     def test_rotation_property(self, a, b):
         assume(abs(a) > 1e-160 or abs(b) > 1e-160)
-        g = make_givens(a, b)
-        assert abs(g.c * g.c + g.s * g.s - 1.0) < 1e-14
-        top, bot = g.apply(a, b)
+        c, s = _givens_cs(a, b)
+        assert abs(c * c + s * s - 1.0) < 1e-14
+        top, bot = rotate(c, s, a, b)
         assert top >= 0.0
         assert abs(bot) <= 1e-14 * math.hypot(a, b)
         assert top == pytest.approx(math.hypot(a, b), rel=1e-13)
@@ -149,12 +154,12 @@ class TestSquareRootInfo:
             info.mean()
         assert exc.value.block == "registration"
 
-    def test_nontriangular_mean_uses_general_solve(self, rng):
+    def test_nontriangular_mean_rejected(self, rng):
         r = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-        z = rng.normal(size=4)
-        info = SquareRootInfo(r, z)
+        info = SquareRootInfo(r, rng.normal(size=4))
         assert not info.is_upper_triangular()
-        assert np.allclose(info.mean(), np.linalg.solve(r, z))
+        with pytest.raises(AssemblyError, match="not upper triangular"):
+            info.mean()
 
 
 class TestBackSubstitute:
@@ -206,69 +211,18 @@ class TestBackSubstitute:
 
 
 class TestMarginalizeLeading:
-    def test_two_by_two_example(self):
-        info = SquareRootInfo(np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([1.0, 2.0]))
-        marg = marginalize_leading(info, 1)
-        assert np.array_equal(marg.r, [[1.0]])
-        assert np.array_equal(marg.z, [2.0])
-        assert marg.mean()[0] == 2.0
-        assert marg.covariance()[0, 0] == 1.0
-
     def test_matches_moment_marginal(self, rng):
+        """Dropping the leading track's rows and columns, as reshape_state
+        does, leaves exactly the moment marginal of the rest."""
         info = structured_info(rng, 4, 2)
-        lead = info.layout.nx  # drop the first track
-        marg = marginalize_leading(info, lead)
+        st = reshape_state(FilterState(info=info, epoch=0, config=FmapConfig()),
+                           deleted_ids=[info.layout.track_ids[0]])
+        lead = info.layout.nx
         mean = np.linalg.solve(info.r, info.z)
         cov = info.covariance()
-        assert np.allclose(marg.mean(), mean[lead:], rtol=1e-8, atol=1e-10)
-        assert np.allclose(marg.covariance(), cov[lead:, lead:], rtol=1e-8, atol=1e-10)
-
-    def test_zero_lead_is_copy(self, rng):
-        info = structured_info(rng, 2, 1)
-        marg = marginalize_leading(info, 0)
-        assert np.array_equal(marg.r, info.r)
-        marg.r[0, 0] += 1.0
-        assert marg.r[0, 0] != info.r[0, 0]
-
-    def test_rejects_bad_range(self, rng):
-        info = structured_info(rng, 1, 0)
-        with pytest.raises(ValueError):
-            marginalize_leading(info, info.dim)
-
-    def test_rejects_nontriangular(self, rng):
-        r = rng.normal(size=(3, 3)) + 3 * np.eye(3)
-        info = SquareRootInfo(r, np.zeros(3))
-        with pytest.raises(ValueError):
-            marginalize_leading(info, 1)
-
-
-class TestAffinePush:
-    def test_identity_is_noop(self, rng):
-        info = structured_info(rng, 2, 1)
-        out = affine_push(info, np.eye(info.dim), np.zeros(info.dim))
-        assert np.allclose(out.r, info.r)
-        assert np.allclose(out.z, info.z)
-
-    def test_pure_scaling(self):
-        info = SquareRootInfo(np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([3.0, 1.0]))
-        out = affine_push(info, 2.0 * np.eye(2), np.zeros(2))
-        assert np.allclose(out.r, info.r / 2.0)
-        assert np.allclose(out.z, info.z)
-        assert np.allclose(out.mean(), 2.0 * info.mean())
-
-    def test_moments_transform(self, rng):
-        info = structured_info(rng, 1, 0)
-        alpha = rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
-        beta = rng.normal(size=4)
-        out = affine_push(info, alpha, beta)
-        assert np.allclose(out.mean(), alpha @ info.mean() + beta, rtol=1e-9, atol=1e-10)
-        assert np.allclose(out.covariance(), alpha @ info.covariance() @ alpha.T,
-                           rtol=1e-9, atol=1e-10)
-
-    def test_singular_alpha_rejected(self, rng):
-        info = structured_info(rng, 1, 0)
-        with pytest.raises(SingularBlockError):
-            affine_push(info, np.zeros((4, 4)), np.zeros(4))
+        assert np.allclose(st.info.mean(), mean[lead:], rtol=1e-8, atol=1e-10)
+        assert np.allclose(st.info.covariance(), cov[lead:, lead:],
+                           rtol=1e-8, atol=1e-10)
 
 
 class TestDump:

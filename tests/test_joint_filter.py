@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.stats import chi2
 
 from jtr.baselines import (dense_estimates, dense_initialize, dense_measurement_update,
                            dense_reshape, dense_reset_registration, dense_time_propagate)
 from jtr.joint_filter import (FmapConfig, SensorPrior, build_measurement_rows,
-                              check_and_reset_registration, fisher_information,
-                              initialize, load_state, measurement_update,
+                              check_and_reset_registration, initialize,
+                              load_state, measurement_update, monitor_innovation,
                               registration_estimate, reset_registration,
                               reshape_state, save_state, solve_estimates,
-                              time_propagate, track_estimate)
+                              time_propagate, track_estimate, windowed_innovation)
 from jtr.models import CVModel, TrackState, predict_measurement
 
 SIGMAS = (0.1, 0.2, math.radians(1.0))
@@ -283,6 +286,53 @@ class TestInnovationMonitor:
         windows = steps - st.config.innovation_window + 1
         assert fires / windows < 0.02
 
+    @settings(max_examples=60, deadline=None)
+    @given(window=hst.integers(1, 6),
+           all_pinned=hst.booleans(),
+           steps=hst.lists(hst.tuples(hst.floats(0.0, 4.0), hst.integers(0, 4)),
+                           max_size=20))
+    def test_matches_brute_force_window(self, window, all_pinned, steps):
+        """Both backends' monitor and the reporting window against a plain
+        recomputation: m = 0 epochs are skipped, the stat is nan until the
+        window is full, a fire clears the monitor window (never the
+        reporting one), and nothing fires when every sensor is pinned."""
+        cfg = FmapConfig(innovation_window=window)
+        priors = PRIORS
+        if all_pinned:
+            priors = {s: SensorPrior(tuple(A_TRUE[s]), pinned=True) for s in A_TRUE}
+        guess = [(1, np.array([20.0, 1.0, 5.0, -0.5]))]
+        fmap = make_state(dict(guess), priors=priors, config=cfg)
+        dense = dense_reshape(dense_initialize(2, cfg, priors), new_tracks=guess)
+        monitor, report, report_history = [], [], ()
+        for per_dof, blocks in steps:
+            m = 3 * blocks
+            rss = per_dof * max(m, 1)
+            expect = False
+            if m > 0:
+                monitor = (monitor + [(rss, m)])[-window:]
+                report = (report + [(rss, m)])[-window:]
+                if len(monitor) == window and not all_pinned:
+                    dof = sum(d for _, d in monitor)
+                    expect = (sum(r for r, _ in monitor) / dof
+                              > chi2.ppf(cfg.innovation_threshold, dof) / dof)
+            if expect:
+                monitor = []
+            fmap, fired = check_and_reset_registration(fmap, rss, m)
+            dense, dense_fired = monitor_innovation(dense, rss, m,
+                                                    dense_reset_registration)
+            assert fired == dense_fired == expect
+            assert list(fmap.innovation_history) == monitor
+            assert list(dense.innovation_history) == monitor
+
+            report_history, stat, _ = windowed_innovation(report_history, rss, m,
+                                                          window)
+            assert list(report_history) == report
+            if len(report) < window:
+                assert math.isnan(stat)
+            else:
+                assert stat == (sum(r for r, _ in report)
+                                / sum(d for _, d in report))
+
 
 class TestReshape:
     def test_identity(self):
@@ -365,9 +415,8 @@ class TestReshape:
 class TestEstimatesAndFisher:
     def test_fresh_fisher_is_eps_squared_identity(self):
         st = initialize(2, FmapConfig(epsilon=1e-4))
-        j = fisher_information(st)
-        assert np.allclose(j, 1e-8 * np.eye(6))
-        assert np.array_equal(j, j.T)
+        assert np.array_equal(st.info.r, 1e-4 * np.eye(6))
+        assert np.allclose(st.info.r.T @ st.info.r, 1e-8 * np.eye(6))
 
     def test_covariances_positive_definite_after_update(self, rng):
         truths = {1: (20.0, 1.0, 5.0, -0.5), 2: (30.0, 0.0, -4.0, 0.2)}
@@ -377,14 +426,6 @@ class TestEstimatesAndFisher:
         for cov in sol.track_covariances:
             assert np.linalg.eigvalsh(cov).min() > 0.0
         assert np.linalg.eigvalsh(sol.registration_covariance).min() > 0.0
-
-    def test_fisher_matches_info_product(self, rng):
-        truths = {1: (20.0, 1.0, 5.0, -0.5)}
-        st = make_state({1: np.asarray(truths[1])})
-        st, _, _ = measurement_update(st, noisy_assoc(rng, truths))
-        j = fisher_information(st)
-        assert np.allclose(j, st.info.r.T @ st.info.r, rtol=1e-14, atol=1e-16)
-        assert np.array_equal(j, j.T)
 
 
 class TestSnapshot:
@@ -407,6 +448,16 @@ class TestSnapshot:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             load_state("not a snapshot\n")
+
+    def test_entry_below_diagonal_rejected(self):
+        st = make_state({1: TrackState(20.0, 1.0, 5.0, -0.5)})
+        lines = save_state(st).splitlines()
+        row2 = lines.index("R") + 3           # third row of R
+        vals = lines[row2].split()
+        vals[1] = "0.5"
+        lines[row2] = " ".join(vals)
+        with pytest.raises(ValueError, match="row 2"):
+            load_state("\n".join(lines) + "\n")
 
 
 class TestLockstepMiniRun:

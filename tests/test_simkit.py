@@ -2,13 +2,16 @@
 
 import csv
 import filecmp
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jtr.blas import _openblas_pools, blas_threads
 from jtr.joint_filter import FmapConfig
 from jtr.models import backproject, measurement_vector, wrap_angle
 from jtr.simkit import (AssociationMap, ConfigError, EpochRecord, FieldOfView,
@@ -352,6 +355,45 @@ class TestLockstep:
         assert res.epochs == 30
         assert res.worst_relative_gap < 1e-8
         assert res.off_block_violations == 0
+
+
+class TestBlasThreads:
+    def test_setting_applied_and_restored(self):
+        pools = _openblas_pools()
+        threads = lambda: [get() for get, _ in pools]
+        with blas_threads(1):
+            with blas_threads(2):
+                assert threads() == [2] * len(pools)
+            assert threads() == [1] * len(pools)
+
+    def test_estimates_do_not_depend_on_thread_count(self):
+        """200 targets make dense's matrices large enough for threaded BLAS.
+        fmap must come out byte-identical; dense, whose large QR and
+        products may sum in a thread-dependent order, only within the
+        dense-oracle tolerance."""
+        raw = json.loads((resources.files("jtr") / "configs"
+                          / "default_scenario.json").read_text())
+        raw.update(duration_s=0.5, fov={"r_max_m": 200.0})
+        raw["targets"] = {"count": 200,
+                          "placement": {"r_min_m": 8.0, "r_max_m": 80.0}}
+        scn = generate_scenario(config_from_dict(raw))
+        dets = synthesize_measurements(scn)
+        runs = {}
+        for n in (1, 2):
+            with blas_threads(n):
+                runs[n] = [run_tracker(scn, algo, dets) for algo in ("fmap", "dense")]
+
+        def estimates(res):
+            return np.concatenate([est for rec in res.records
+                                   for rows in (rec.track_rows, rec.reg_rows)
+                                   for _, est, _ in rows])
+
+        (fmap1, dense1), (fmap2, dense2) = runs[1], runs[2]
+        assert len(fmap1.records[-1].track_rows) == 200
+        assert estimates(fmap1).tobytes() == estimates(fmap2).tobytes()
+        assert fmap1.final_info.r.tobytes() == fmap2.final_info.r.tobytes()
+        d1, d2 = estimates(dense1), estimates(dense2)
+        assert np.linalg.norm(d1 - d2) <= 1e-5 * np.linalg.norm(d1)
 
 
 class TestBenchmark:
