@@ -167,6 +167,9 @@ class XAssembly:
         for arr, name in ((self.cx, "Cx"), (self.ca, "Ca"), (self.rhs, "rhs")):
             if not np.all(np.isfinite(arr)):
                 raise AssemblyError(f"non-finite entries in {name}")
+        if m == 0:
+            self.row_blocks = np.zeros(0, dtype=int)
+            return
         nonzero = self.cx != 0.0
         has_any = nonzero.any(axis=1)
         if not has_any.all():

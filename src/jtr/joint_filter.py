@@ -23,10 +23,11 @@ intact up to the refactorization and preserves the block structure.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cholesky
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .info_array import (
     BackSubstitution,
@@ -190,7 +191,7 @@ def build_measurement_rows(lay: JointLayout, assoc, linearization: np.ndarray):
     rhs = np.zeros(m)
     if not assoc:
         return cx, ca, rhs, m
-    ordinal = {tid: b for b, tid in enumerate(lay.track_ids)}
+    ordinal = lay.ordinals
     unknown = [tid for tid, _ in assoc if tid not in ordinal]
     if unknown:
         raise KeyError(f"track id {unknown[0]!r} not in layout")
@@ -247,8 +248,14 @@ def apply_measurement_rows(state: FilterState, cx, ca, rhs):
     return replace(state, info=posterior), float(np.dot(e, e))
 
 
+@lru_cache
 def chi2_per_dof_quantile(level: float, dof: int) -> float:
-    return float(chi2.ppf(level, dof)) / dof
+    """Chi-square quantile at ``level`` for ``dof`` degrees of freedom, per dof.
+
+    The chi-square quantile is twice the inverse regularized lower incomplete
+    gamma function at half the dof; this avoids importing ``scipy.stats``.
+    """
+    return float(2.0 * gammaincinv(dof / 2, level)) / dof
 
 
 def windowed_innovation(history: tuple, residual_norm_sq: float, m_dims: int,

@@ -7,6 +7,7 @@ every track block.  All kernel routines rely on this ordering.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 # Default block widths for the 2-D constant-velocity / range-bearing problem.
 TRACK_DIM = 4  # (xi, v_xi, eta, v_eta)
@@ -54,10 +55,15 @@ class JointLayout:
     def dim(self) -> int:
         return self.track_dim + self.reg_dim
 
+    @cached_property
+    def ordinals(self) -> dict:
+        """Track id -> position in ``track_ids``, built once per layout."""
+        return {tid: b for b, tid in enumerate(self.track_ids)}
+
     def track_ordinal(self, track_id) -> int:
         try:
-            return self.track_ids.index(track_id)
-        except ValueError:
+            return self.ordinals[track_id]
+        except (KeyError, TypeError):
             raise KeyError(f"track id {track_id!r} not in layout") from None
 
     def track_block(self, ordinal: int) -> slice:

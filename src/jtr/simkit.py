@@ -13,10 +13,12 @@ import dataclasses
 import json
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import joint_filter
 from .baselines import (SepFilter, dense_apply_rows, dense_estimates,
                         dense_initialize, dense_measurement_update,
                         dense_reset_registration, dense_reshape,
@@ -26,8 +28,7 @@ from .joint_filter import (FilterState, FmapConfig, SensorPrior,
                            apply_measurement_rows, build_measurement_rows,
                            check_and_reset_registration, initialize,
                            measurement_update, monitor_innovation,
-                           registration_estimate, reshape_state,
-                           solve_estimates, time_propagate, track_estimate,
+                           reshape_state, solve_estimates, time_propagate,
                            windowed_innovation)
 from .models import (CVModel, Measurement, backproject, cv_transition,
                      measurement_vector,
@@ -436,11 +437,30 @@ def associate(predicted: dict, observed: list, gate: float) -> AssociationMap:
 
 
 class FmapRunner:
+    """fmap behind the runner interface.
+
+    ``track()`` and ``registration()`` slice one mean-only solve per filter
+    state: the solved vector is kept with a weak reference to the ``info``
+    object it came from and solved again only once ``state.info`` is a
+    different object.  The weak reference lets a replaced array be freed
+    before the next read.
+    """
+
     algo = "fmap"
 
     def __init__(self, cfg: ScenarioConfig):
         self.state = initialize(cfg.k, cfg.filter_config, cfg.sensor_priors())
         self.model = cfg.model()
+        self._solved = (lambda: None, None)   # (weakref to info, its mean)
+
+    def _mean(self) -> np.ndarray:
+        """Solved joint mean of the current belief, cached per ``info``."""
+        info_ref, estimate = self._solved
+        if info_ref() is not self.state.info:
+            estimate = joint_filter.solve_estimates(
+                self.state, with_covariance=False).estimate
+            self._solved = (weakref.ref(self.state.info), estimate)
+        return estimate
 
     def add_tracks(self, pairs):
         if pairs:
@@ -462,10 +482,10 @@ class FmapRunner:
         self.state = time_propagate(self.state, self.model)
 
     def registration(self, sensor_id):
-        return registration_estimate(self.state, sensor_id)[0]
+        return self._mean()[self.state.layout.sensor_slice(sensor_id)].copy()
 
     def track(self, track_id):
-        return track_estimate(self.state, track_id)[0]
+        return self._mean()[self.state.layout.track_slice(track_id)].copy()
 
     def track_ids(self):
         return self.state.track_ids
@@ -786,9 +806,8 @@ class LockstepRunner(FmapRunner):
     def update(self, assoc):
         if not assoc:
             return 0.0, 0
-        sol = solve_estimates(self.state, with_covariance=False)
         cx, ca, rhs, m = build_measurement_rows(self.state.layout, assoc,
-                                                sol.estimate)
+                                                self._mean())
         self.twin.state, _ = dense_apply_rows(self.twin.state, cx, ca, rhs)
         self.state, rss = apply_measurement_rows(self.state, cx, ca, rhs)
         return rss, m

@@ -297,6 +297,12 @@ class TestInnovationMonitor:
         windows = steps - st.config.innovation_window + 1
         assert fires / windows < 0.02
 
+    def test_quantile_matches_scipy_stats_bit_for_bit(self):
+        for level in (0.9, 0.95, 0.99, 0.999):
+            for dof in range(1, 2000):
+                assert (joint_filter.chi2_per_dof_quantile(level, dof)
+                        == float(chi2.ppf(level, dof)) / dof), (level, dof)
+
     @settings(max_examples=60, deadline=None)
     @given(window=hst.integers(1, 6),
            all_pinned=hst.booleans(),

@@ -1,6 +1,8 @@
 """Column bookkeeping for the joint state."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jtr.layout import JointLayout
 
@@ -47,3 +49,24 @@ def test_empty_layout():
     lay = JointLayout((), 1)
     assert lay.dim == 3
     assert lay.track_dim == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.integers(-50, 50), unique=True, max_size=30),
+       data=st.data())
+def test_ordinal_lookup_matches_index(ids, data):
+    """The id -> ordinal map agrees with ``track_ids.index`` on every layout,
+    also after removing and prepending tracks, and rejects unknown ids."""
+    lay = JointLayout(tuple(ids), 1)
+    removed = data.draw(st.lists(st.sampled_from(ids), unique=True)
+                        if ids else st.just([]))
+    lay = lay.with_tracks_removed(removed)
+    fresh = data.draw(st.lists(st.integers(51, 80), unique=True, max_size=10))
+    for layout in (lay, lay.with_tracks_prepended(fresh)):
+        for tid in layout.track_ids:
+            assert layout.track_ordinal(tid) == layout.track_ids.index(tid)
+            assert layout.track_slice(tid) == layout.track_block(
+                layout.track_ids.index(tid))
+        for tid in set(range(-50, 81)) - set(layout.track_ids):
+            with pytest.raises(KeyError, match="not in layout"):
+                layout.track_ordinal(tid)

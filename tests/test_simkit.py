@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jtr import simkit
+from jtr import joint_filter, simkit
 from jtr.blas import _openblas_pools, blas_threads
 from jtr.joint_filter import FmapConfig
 from jtr.models import backproject, measurement_vector, wrap_angle
@@ -347,6 +347,107 @@ class TestMetrics:
                 for r in rows if r["sensor_id"] == "1"]
         assert metrics(res)["sensor1.psi0"] == pytest.approx(
             np.mean(errs), rel=1e-6)
+
+
+BUNDLED = ("default_scenario", "step_change", "replay_crossed")
+
+
+def bundled_scenario(name):
+    return generate_scenario(simkit.load_config(
+        resources.files("jtr") / "configs" / f"{name}.json"))
+
+
+class CheckedFmapRunner(simkit.FmapRunner):
+    """Checks every cached read against a full solve of the same state."""
+
+    reads = 0
+
+    def track(self, track_id):
+        got = super().track(track_id)
+        want = joint_filter.track_estimate(self.state, track_id)[0]
+        assert got.tobytes() == want.tobytes(), track_id
+        self.reads += 1
+        return got
+
+    def registration(self, sensor_id):
+        got = super().registration(sensor_id)
+        want = joint_filter.registration_estimate(self.state, sensor_id)[0]
+        assert got.tobytes() == want.tobytes(), sensor_id
+        self.reads += 1
+        return got
+
+
+class TestFmapMeanCache:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_reads_equal_full_solves_over_bundled_runs(self, name, monkeypatch):
+        runners = []
+
+        def checked(cfg):
+            runners.append(CheckedFmapRunner(cfg))
+            return runners[-1]
+
+        monkeypatch.setitem(simkit.RUNNERS, "fmap", checked)
+        scn = bundled_scenario(name)
+        run_tracker(scn, "fmap")
+        assert runners[0].reads >= scn.n_epochs * scn.config.k
+
+    def test_reads_follow_every_state_change(self):
+        scn = generate_scenario(two_sensor_config(seed=21, duration=2.0))
+        dets = synthesize_measurements(scn)
+        runner = simkit.FmapRunner(scn.config)
+
+        def reads():
+            lay = runner.state.layout
+            return ([(lay.track_slice(t), runner.track(t))
+                     for t in runner.track_ids()]
+                    + [(lay.sensor_slice(s), runner.registration(s))
+                       for s in range(lay.k)])
+
+        def check(call, *args):
+            """Reads after ``call`` equal full solves of the new state and
+            differ from what a cache of the old state would return."""
+            reads()
+            old = joint_filter.solve_estimates(runner.state).estimate
+            out = call(*args)
+            new = reads()
+            for sl, est in new:
+                assert est.tobytes() == joint_filter.solve_estimates(
+                    runner.state).estimate[sl].tobytes()
+            assert any(est.tobytes() != old[sl].tobytes() for sl, est in new)
+            return out
+
+        ids = sorted({d.truth_id for d in dets[0]})
+        guesses = [(t, scn.truth[t].state_at(0) + 0.5) for t in ids]
+        check(runner.add_tracks, guesses[:1])
+        check(runner.add_tracks, guesses[1:])
+        _, m = check(runner.update, [(d.truth_id, d.meas) for d in dets[0]])
+        check(runner.propagate)
+        check(runner.remove_tracks, ids[-1:])
+        check(runner.remove_tracks, ids[:1])
+        window = scn.config.filter_config.innovation_window
+        fired = [runner.maybe_reset(1e6, m) for _ in range(window - 1)]
+        fired.append(check(runner.maybe_reset, 1e6, m))
+        assert fired == [False] * (window - 1) + [True]
+
+    @pytest.mark.parametrize("name", ("step_change", "replay_crossed"))
+    def test_at_most_three_solves_per_epoch(self, name, monkeypatch):
+        scn = bundled_scenario(name)
+        solve = joint_filter.solve_estimates
+        calls = []                # one counter per epoch
+
+        class Frames(list):
+            def __getitem__(self, e):
+                calls.append(0)
+                return super().__getitem__(e)
+
+        def counting(*args, **kwargs):
+            calls[-1] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(joint_filter, "solve_estimates", counting)
+        run_tracker(scn, "fmap", Frames(synthesize_measurements(scn)))
+        assert len(calls) == scn.n_epochs
+        assert max(calls) <= 3
 
 
 class TestLockstep:

@@ -121,6 +121,18 @@ class TestTriangularizeX:
         assert np.array_equal(post.r, keep_r)
         assert np.array_equal(post.z, keep_z)
 
+    def test_no_tracks_and_no_rows(self):
+        lay = JointLayout((), 2)
+        r = np.triu(np.ones((6, 6))) + np.eye(6)
+        z = np.arange(6.0)
+        asm = XAssembly(SquareRootInfo(r.copy(), z.copy(), lay),
+                        np.zeros((0, 0)), np.zeros((0, 6)), np.zeros(0))
+        assert asm.row_blocks.shape == (0,)
+        post, e = triangularize_x(asm)
+        assert e.shape == (0,)
+        assert np.array_equal(post.r, r)
+        assert np.array_equal(post.z, z)
+
     def test_row_touching_two_tracks_rejected(self, rng):
         prior = structured_info(rng, 2, 1)
         cx = np.zeros((1, prior.layout.track_dim))
